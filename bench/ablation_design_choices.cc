@@ -1,4 +1,4 @@
-/// Ablations for the design choices DESIGN.md calls out (not a paper figure;
+/// Ablations for the engine's design choices (not a paper figure;
 /// complements §6):
 ///   (a) GPGPU pipeline depth — Fig. 6's five-stage pipelining vs a
 ///       depth-1 (serialized) pipeline;
@@ -9,7 +9,9 @@
 ///       fine slide;
 ///   (d) two-stacks assembly [50] vs forced re-merge for the non-invertible
 ///       AGGmax — the general incremental path that closes most of the gap
-///       ablation (c) exposes.
+///       ablation (c) exposes;
+///   (e) the running group table vs forced re-merge for a grouped sum/avg
+///       over a sliding time window (the shape of CM2).
 
 #include "bench_util.h"
 #include "workloads/synthetic.h"
@@ -95,5 +97,31 @@ int main() {
   }
   std::printf("Expected: two-stacks keeps non-invertible aggregation near the "
               "invertible running path; re-merge collapses at fine slides.\n");
+
+  // (e) grouped incremental vs re-merge. 64 groups, window 256 time units
+  // sliding by 4 (64 panes of ~64 groups each): re-merge upserts ~4096 pane
+  // entries per emitted window, the running table ~128 plus the sort.
+  PrintHeader("Ablation E — running group table vs re-merge for grouped "
+              "sum/avg (range 256, slide 4, 64 groups)",
+              {"assembly", "GB/s"});
+  const Schema s = syn::SyntheticSchema();
+  for (auto [name, mode] : {std::pair<const char*, AssemblyMode>{
+                                "running table (auto)", AssemblyMode::kAuto},
+                            {"re-merge (forced)", AssemblyMode::kRemergeOnly}}) {
+    QueryDef def = QueryBuilder("GROUP-BY64-sum-avg", s)
+                       .Window(WindowDefinition::Time(256, 4))
+                       .GroupBy({Mod(Col(s, "a4"), Lit(64))}, {"grp"})
+                       .Aggregate(AggregateFunction::kSum, Col(s, "a1"), "sum")
+                       .Aggregate(AggregateFunction::kAvg, Col(s, "a2"), "avg")
+                       .Assembly(mode)
+                       .Build();
+    RunResult r = RunSaber(DefaultOptions(), def, data, 2);
+    PrintCell(std::string(name));
+    PrintCell(r.gbps());
+    EndRow();
+  }
+  std::printf("Expected: the running table keeps the serial result stage off "
+              "the critical path; re-merge makes the whole engine wait on "
+              "it.\n");
   return 0;
 }

@@ -922,7 +922,7 @@ void Engine::CreateSingleInputTask(QueryState& qs, int64_t end_pos) {
   PushTask(qs, t);
 }
 
-/// Join dispatch (§5.3 + DESIGN.md): both streams are cut at a common
+/// Join dispatch (§5.3): both streams are cut at a common
 /// timestamp T so that each task sees both inputs complete through T. The
 /// window extent (history) of each stream stays alive via the free pointer.
 /// Caller holds dispatch_mu.

@@ -1,6 +1,7 @@
 #include "cpu/fragment_assembly.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -16,6 +17,14 @@ void SubtractState(AggState* into, const AggState& from) {
   into->count -= from.count;
 }
 
+/// Whether subtracting `from` out of the running state `into` reproduces
+/// the re-merge result. Not when either sum is non-finite: inf - inf is NaN,
+/// and a running sum that overflowed cannot be recovered by subtraction.
+/// Both running paths then re-merge the window from the stored panes.
+bool SubtractionExact(const AggState& into, const AggState& from) {
+  return std::isfinite(into.sum) && std::isfinite(from.sum);
+}
+
 }  // namespace
 
 AggregationAssembly::AggregationAssembly(const QueryDef& q)
@@ -23,9 +32,9 @@ AggregationAssembly::AggregationAssembly(const QueryDef& q)
       w_(q.window[0]),
       fmt_(PaneFormat::For(q)),
       stacks_(fmt_.num_aggs),
-      scratch_(fmt_.grouped() ? fmt_.key_size : 8, fmt_.num_aggs, 1024) {
+      groups_(fmt_.grouped() ? fmt_.key_size : 8, fmt_.num_aggs, 1024) {
   const bool incremental = q.assembly_mode == AssemblyMode::kAuto;
-  use_running_ = !fmt_.grouped() && incremental;
+  use_running_ = incremental;
   for (const auto& a : q.aggregates) {
     if (!Invertible(a.fn)) use_running_ = false;
   }
@@ -110,9 +119,9 @@ void AggregationAssembly::EmitSession(ByteBuffer* output) {
     // row timestamp is the session's last *raw* tuple timestamp.
     EmitUngroupedRow(session_last_ts_, session_aggs_.data(), output);
   } else if (!session_group_bytes_.empty()) {
-    scratch_.Clear();
-    scratch_.MergeSerialized(session_group_bytes_.data(),
-                             session_group_bytes_.size());
+    groups_.Clear();
+    groups_.MergeSerialized(session_group_bytes_.data(),
+                            session_group_bytes_.size());
     EmitGroupedRows(session_group_max_ts_, output);
   }
   session_open_ = false;
@@ -207,8 +216,8 @@ void AggregationAssembly::EmitWindow(int64_t j, ByteBuffer* output) {
     EmitUngroupedRow(ts, stacks_query_.data(), output);
     return;
   }
-  // Re-merge path: merge all of the window's panes per emission (grouped
-  // queries, or AssemblyMode::kRemergeOnly for the ablation baseline).
+  // Re-merge path: merge all of the window's panes per emission
+  // (AssemblyMode::kRemergeOnly, the ablation baseline).
   std::vector<AggState> acc(fmt_.num_aggs);
   for (auto& s : acc) AggInit(&s);
   for (auto pit = store_.lower_bound(first);
@@ -221,36 +230,102 @@ void AggregationAssembly::EmitWindow(int64_t j, ByteBuffer* output) {
 void AggregationAssembly::AdvanceRunning(int64_t j) {
   const int64_t first = FirstPaneOf(w_, j);
   const int64_t last = LastPaneOf(w_, j);
-  if (!running_valid_) {
-    for (auto& s : running_) AggInit(&s);
-    for (auto it = store_.lower_bound(first);
-         it != store_.end() && it->first <= last; ++it) {
-      for (size_t a = 0; a < fmt_.num_aggs; ++a) {
-        AggMerge(&running_[a], it->second.aggs[a]);
-      }
+  if (running_valid_) {
+    // Subtract panes that slid out of the window since the last emission
+    // (they are still in the store: pruning lags running_lo_pane_). Panes
+    // past running_hi_pane_ were never added (a slide wider than the window
+    // skips them).
+    for (auto it = store_.lower_bound(running_lo_pane_);
+         running_valid_ && it != store_.end() && it->first < first &&
+         it->first <= running_hi_pane_;
+         ++it) {
+      running_valid_ = SubtractRunningPane(it->second);
     }
-    running_lo_pane_ = first;
-    running_hi_pane_ = last;
-    running_valid_ = true;
-    return;
   }
-  // Subtract panes that slid out of the window since the last emission (they
-  // are still in the store: pruning lags running_lo_pane_).
-  for (auto it = store_.lower_bound(running_lo_pane_);
-       it != store_.end() && it->first < first; ++it) {
-    for (size_t a = 0; a < fmt_.num_aggs; ++a) {
-      SubtractState(&running_[a], it->second.aggs[a]);
+  if (!running_valid_) {
+    // Rebuild: merge the window's panes in order, exactly as re-merge does.
+    if (fmt_.grouped()) {
+      groups_.Clear();
+      running_live_groups_ = 0;
+    } else {
+      for (auto& s : running_) AggInit(&s);
     }
+    running_hi_pane_ = first - 1;
+    running_valid_ = true;
   }
   running_lo_pane_ = first;
-  // Add panes that slid into the window.
-  for (auto it = store_.upper_bound(running_hi_pane_);
+  // Add panes that slid into the window. Panes <= last are final: their end
+  // lies at or before the window's end, which the watermark has passed.
+  for (auto it = store_.lower_bound(std::max(first, running_hi_pane_ + 1));
        it != store_.end() && it->first <= last; ++it) {
-    for (size_t a = 0; a < fmt_.num_aggs; ++a) {
-      AggMerge(&running_[a], it->second.aggs[a]);
-    }
+    AddRunningPane(it->second);
   }
   running_hi_pane_ = std::max(running_hi_pane_, last);
+  if (fmt_.grouped() &&
+      groups_.size() - running_live_groups_ > running_live_groups_) {
+    CompactRunningGroups();
+  }
+}
+
+void AggregationAssembly::AddRunningPane(const PaneData& pd) {
+  if (!fmt_.grouped()) {
+    for (size_t a = 0; a < fmt_.num_aggs; ++a) AggMerge(&running_[a], pd.aggs[a]);
+    return;
+  }
+  const size_t esz = fmt_.grouped_entry_bytes();
+  for (size_t off = 0; off < pd.group_bytes.size(); off += esz) {
+    const uint8_t* e = pd.group_bytes.data() + off;
+    const auto* aggs = reinterpret_cast<const AggState*>(e + 8 + fmt_.key_size);
+    int64_t ts;
+    std::memcpy(&ts, e, sizeof(ts));
+    AggState* dst = groups_.UpsertGrowing(e + 8, ts);
+    // Every aggregate of a group counts the same tuples, so aggs[0].count
+    // is the group's tuple count; pane entries always hold >= 1 tuple.
+    if (dst[0].count == 0) ++running_live_groups_;
+    for (size_t a = 0; a < fmt_.num_aggs; ++a) AggMerge(&dst[a], aggs[a]);
+  }
+}
+
+bool AggregationAssembly::SubtractRunningPane(const PaneData& pd) {
+  if (!fmt_.grouped()) {
+    for (size_t a = 0; a < fmt_.num_aggs; ++a) {
+      if (!SubtractionExact(running_[a], pd.aggs[a])) return false;
+    }
+    for (size_t a = 0; a < fmt_.num_aggs; ++a) SubtractState(&running_[a], pd.aggs[a]);
+    return true;
+  }
+  const size_t esz = fmt_.grouped_entry_bytes();
+  for (size_t off = 0; off < pd.group_bytes.size(); off += esz) {
+    const uint8_t* e = pd.group_bytes.data() + off;
+    const auto* aggs = reinterpret_cast<const AggState*>(e + 8 + fmt_.key_size);
+    AggState* dst = groups_.Find(e + 8);
+    SABER_DCHECK(dst != nullptr);
+    for (size_t a = 0; a < fmt_.num_aggs; ++a) {
+      if (!SubtractionExact(dst[a], aggs[a])) return false;
+    }
+    for (size_t a = 0; a < fmt_.num_aggs; ++a) SubtractState(&dst[a], aggs[a]);
+    if (dst[0].count == 0) {
+      // The group left the window: reset it so a returning key starts from
+      // exact init states rather than a rounding residue.
+      for (size_t a = 0; a < fmt_.num_aggs; ++a) AggInit(&dst[a]);
+      --running_live_groups_;
+    }
+  }
+  return true;
+}
+
+void AggregationAssembly::CompactRunningGroups() {
+  const size_t agg_bytes = fmt_.num_aggs * sizeof(AggState);
+  compact_scratch_.Resize(0);
+  groups_.ForEachOccupied(
+      [&](const uint8_t* key, int64_t ts, const AggState* aggs) {
+        if (aggs[0].count == 0) return;
+        compact_scratch_.AppendValue<int64_t>(ts);
+        compact_scratch_.Append(key, fmt_.key_size);
+        compact_scratch_.Append(aggs, agg_bytes);
+      });
+  groups_.Clear();
+  groups_.MergeSerialized(compact_scratch_.data(), compact_scratch_.size());
 }
 
 void AggregationAssembly::AdvanceStacks(int64_t j) {
@@ -286,7 +361,7 @@ void AggregationAssembly::EmitUngroupedRow(int64_t ts, const AggState* aggs,
 void AggregationAssembly::EmitGroupedWindow(int64_t j, ByteBuffer* output) {
   const int64_t first = FirstPaneOf(w_, j);
   const int64_t last = LastPaneOf(w_, j);
-  scratch_.Clear();
+  if (!use_running_) groups_.Clear();
   bool any = false;
   // All rows of a window carry the *window's* max timestamp: per-group
   // maxima are not monotone across windows, and the result stream must
@@ -296,12 +371,19 @@ void AggregationAssembly::EmitGroupedWindow(int64_t j, ByteBuffer* output) {
   for (auto it = store_.lower_bound(first);
        it != store_.end() && it->first <= last; ++it) {
     if (it->second.group_bytes.empty()) continue;
-    scratch_.MergeSerialized(it->second.group_bytes.data(),
-                             it->second.group_bytes.size());
+    if (!use_running_) {
+      // Re-merge path (a min/max aggregate, or AssemblyMode::kRemergeOnly).
+      groups_.MergeSerialized(it->second.group_bytes.data(),
+                              it->second.group_bytes.size());
+    }
     window_ts = std::max(window_ts, it->second.max_ts);
     any = true;
   }
-  if (!any) return;
+  if (!any) {
+    running_valid_ = false;  // window is empty: emit nothing
+    return;
+  }
+  if (use_running_) AdvanceRunning(j);
   EmitGroupedRows(window_ts, output);
 }
 
@@ -310,9 +392,10 @@ void AggregationAssembly::EmitGroupedRows(int64_t window_ts,
   // Deterministic output: sort groups by key bytes. (Hash-table iteration
   // order would otherwise depend on which processor executed which task.)
   sort_scratch_.clear();
-  scratch_.ForEachOccupied(
+  groups_.ForEachOccupied(
       [&](const uint8_t* key, int64_t /*group_ts*/, const AggState* aggs) {
-        sort_scratch_.emplace_back(key, aggs);
+        // count 0: a running-table group that left the window.
+        if (aggs[0].count > 0) sort_scratch_.emplace_back(key, aggs);
       });
   std::vector<size_t> order(sort_scratch_.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;

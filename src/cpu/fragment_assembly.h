@@ -14,9 +14,31 @@
 /// aggregate (plain AggStates, or a serialized group hash table). The
 /// assembly state ingests pane partials strictly in task order, tracks the
 /// axis watermark, and emits each window result exactly once — when the
-/// watermark passes the window's end. Incremental computation (§5.3) is used
-/// when every aggregate is invertible: a running aggregate slides over the
-/// pane sequence instead of re-merging panes_per_window panes per emission.
+/// watermark passes the window's end.
+///
+/// Which path a query takes (AssemblyMode::kAuto):
+///  - every aggregate invertible (sum/count/avg), grouped or not: the
+///    *running* path (§5.3). One running aggregate per query — AggStates, or
+///    one GroupHashTable for grouped queries — slides over the pane
+///    sequence: each emission merges the panes that slid in and subtracts
+///    those that slid out, instead of re-merging panes_per_window panes.
+///  - ungrouped with a min/max: the two-stacks path (two_stacks.h, [50]).
+///  - grouped with a min/max: re-merge every pane of the window per
+///    emission.
+///  - session windows: one open-session accumulator, no pane grid.
+/// AssemblyMode::kRemergeOnly forces re-merge for every pane-grid query (the
+/// ablation baseline and the oracle the running path is tested against).
+///
+/// Running-path contract: subtraction reproduces the re-merge result byte
+/// for byte when the partial sums are exact — as they are for small
+/// integers and for the float inputs the workloads generate. Under floating
+/// point cancellation (e.g. 1e20 + 1 - 1e20) the two can differ in the last
+/// bits, like any reordering of a floating-point sum. A non-finite partial
+/// never propagates: a window whose expiring pane (or running state) is
+/// inf/NaN is re-merged from the stored panes instead, since inf - inf is
+/// NaN. A group whose running count falls to 0 is not emitted (its slot is
+/// reset and reused if the key returns); the table is compacted once such
+/// dead slots outnumber live ones, so key churn cannot grow it unboundedly.
 ///
 /// The same logic serves the CPU and GPGPU back ends ("the result
 /// aggregation logic is the same for both", §5.4); only the production of
@@ -81,8 +103,8 @@ class AggregationAssembly : public AssemblyState {
   void EmitWindow(int64_t j, ByteBuffer* output);
   void EmitUngroupedRow(int64_t ts, const AggState* aggs, ByteBuffer* output);
   void EmitGroupedWindow(int64_t j, ByteBuffer* output);
-  /// Sorts and writes the groups currently in scratch_ (shared tail of the
-  /// grouped pane and session emission paths). All rows carry `window_ts`.
+  /// Sorts and writes the live groups in groups_ (shared tail of the grouped
+  /// pane and session emission paths). All rows carry `window_ts`.
   void EmitGroupedRows(int64_t window_ts, ByteBuffer* output);
   /// Session path: folds one segment partial into the open session,
   /// emitting the previous session first when the segment opens a new one
@@ -90,7 +112,14 @@ class AggregationAssembly : public AssemblyState {
   void MergeSessionSegment(const uint8_t* data, size_t len,
                            ByteBuffer* output);
   void EmitSession(ByteBuffer* output);
+  /// Slides the running aggregate to window j's panes.
   void AdvanceRunning(int64_t j);
+  void AddRunningPane(const PaneData& pd);
+  /// Subtracts an expired pane; false (running state left partially
+  /// updated) when a non-finite partial makes subtraction inexact.
+  bool SubtractRunningPane(const PaneData& pd);
+  /// Drops the running table's dead (count 0) slots.
+  void CompactRunningGroups();
   void AdvanceStacks(int64_t j);
   void PruneBefore(int64_t pane);
 
@@ -103,14 +132,15 @@ class AggregationAssembly : public AssemblyState {
   int64_t watermark_ = 0;              // axis position covered so far
 
   // Incremental (invertible) path: running aggregate over the panes
-  // [running_lo_pane_, running_hi_pane_] present in the store. Pruning lags
-  // behind running_lo_pane_ so the next advance can still subtract expiring
-  // panes.
+  // [running_lo_pane_, running_hi_pane_] present in the store — running_
+  // for ungrouped queries, groups_ for grouped ones. Pruning lags behind
+  // running_lo_pane_ so the next advance can still subtract expiring panes.
   bool use_running_;
   bool running_valid_ = false;
   int64_t running_lo_pane_ = 0;
   int64_t running_hi_pane_ = -1;
   std::vector<AggState> running_;
+  size_t running_live_groups_ = 0;  // groups_ slots with count > 0
 
   // Two-stacks path ([50], two_stacks.h) for non-invertible ungrouped
   // aggregates: amortized O(1) merges per pane instead of re-merging
@@ -134,9 +164,11 @@ class AggregationAssembly : public AssemblyState {
   std::vector<AggState> session_aggs_;        // ungrouped accumulator
   std::vector<uint8_t> session_group_bytes_;  // grouped: serialized entries
 
-  // Scratch for grouped emission.
-  GroupHashTable scratch_;
+  // Grouped accumulator: the running table on the running path; cleared
+  // and refilled per emission on the re-merge and session paths.
+  GroupHashTable groups_;
   std::vector<std::pair<const uint8_t*, const AggState*>> sort_scratch_;
+  ByteBuffer compact_scratch_;
 };
 
 /// Assembly for stateless and join queries: window results are the

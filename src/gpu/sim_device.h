@@ -13,13 +13,15 @@
 
 /// \file sim_device.h
 /// The simulated GPGPU device — our substitute for the paper's NVIDIA Quadro
-/// K5200 + OpenCL stack (see DESIGN.md, "Hardware substitution"). It
-/// reproduces the three properties SABER's design depends on:
+/// K5200 + OpenCL stack, which needs hardware and a runtime this
+/// reproduction does not assume. It reproduces the three properties SABER's
+/// design depends on:
 ///
-///  1. *Throughput-oriented execution*: kernels are compiled, type-
-///     specialized tight loops (expression_compiler.h) dispatched over
-///     work-groups onto a pool of executor threads (the "SMs"), in contrast
-///     to the interpreted row-at-a-time CPU operator path.
+///  1. *Data-parallel execution*: kernels run compiled, type-specialized
+///     expression programs (expression_compiler.h) per tuple inside
+///     work-groups, dispatched onto a pool of executor threads (the "SMs");
+///     the CPU workers run batch-at-a-time kernels over the same compiled
+///     programs (cpu_operators.h).
 ///  2. *PCIe-bounded data movement*: every movein/moveout transfer is paced
 ///     to `dma_latency + bytes / pcie_bandwidth` of wall-clock time
 ///     (defaults: 10 us latency [43], 8 GB/s effective bandwidth, §2.2).

@@ -47,7 +47,9 @@ class ControlClient {
   Status Remove(uint32_t query_id);
 
   /// Blocks until every currently bound producer shard of the query has
-  /// ended and all staged tuples are merged into the engine.
+  /// ended and all staged tuples are merged into the engine. The engine may
+  /// still be executing tasks cut from them (and holds back the sub-φ
+  /// remainder) when this returns; Remove flushes and waits for both.
   Status Drain(uint32_t query_id);
 
   /// Subscribes this connection to the query's result batches. After this,

@@ -259,6 +259,11 @@ void SaberServer::Stop() {
   // Remove/Drain command waiting on reader threads or staged delivery.
   // Revoke makes every parked Append return false; shutdown wakes every
   // recv. Both are idempotent and safe against a concurrent removal.
+  // The abandoned data connections close abortively (SO_LINGER 0: RST on
+  // close). After a graceful close, a producer that had filled the receive
+  // window stays blocked in send: it can only probe the zero window, and
+  // the orphaned server socket answers those probes until the kernel reaps
+  // it, more than a minute later on Linux defaults.
   {
     std::lock_guard<std::mutex> lock(queries_mu_);
     for (auto& [id, e] : queries_) {
@@ -266,7 +271,12 @@ void SaberServer::Stop() {
         if (f && f->ingress) f->ingress->Revoke();
       }
       std::lock_guard<std::mutex> cl(e->conns_mu);
-      for (auto& dc : e->data_conns) dc->sock.ShutdownBoth();
+      for (auto& dc : e->data_conns) {
+        const linger abort_on_close{1, 0};
+        ::setsockopt(dc->sock.fd(), SOL_SOCKET, SO_LINGER, &abort_on_close,
+                     sizeof(abort_on_close));
+        dc->sock.ShutdownBoth();
+      }
     }
   }
   WakeLoop();

@@ -46,16 +46,26 @@ void TraceRing::Push(const TaskSpan& span) {
   std::memcpy(buf, &span, sizeof(TaskSpan));
   const uint64_t idx = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[idx % slots_.size()];
-  // Seqlock write: odd while the payload is torn. The acq_rel first bump
-  // keeps the word stores from hoisting above it; the release second bump
-  // keeps them from sinking below. Two writers lapping onto the same slot
-  // (a full ring overrun within one store window) leave the version moving,
-  // which the reader treats as torn and skips.
-  slot.version.fetch_add(1, std::memory_order_acq_rel);
+  // Seqlock write: odd while the payload is torn. The writer claims the
+  // slot by moving its version from even to odd; a writer that laps onto a
+  // slot another writer still holds (a full ring overrun within one store
+  // window) drops its span instead of writing concurrently — with two
+  // writers bumping the version, it would read even mid-write and Drain
+  // would accept a torn span. The acq_rel claim keeps the word stores from
+  // hoisting above it; the release store keeps them from sinking below.
+  uint64_t v = slot.version.load(std::memory_order_relaxed);
+  do {
+    if (v & 1) {
+      dropped_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+  } while (!slot.version.compare_exchange_weak(v, v + 1,
+                                               std::memory_order_acq_rel,
+                                               std::memory_order_relaxed));
   for (size_t w = 0; w < Slot::kWords; ++w) {
     slot.words[w].store(buf[w], std::memory_order_relaxed);
   }
-  slot.version.fetch_add(1, std::memory_order_release);
+  slot.version.store(v + 2, std::memory_order_release);
 }
 
 std::vector<TaskSpan> TraceRing::Drain() const {
@@ -67,6 +77,7 @@ std::vector<TaskSpan> TraceRing::Drain() const {
     const Slot& slot = slots_[i % slots_.size()];
     for (int attempt = 0; attempt < 4; ++attempt) {
       const uint64_t v1 = slot.version.load(std::memory_order_acquire);
+      if (v1 == 0) break;    // never written: its push is still in flight
       if (v1 & 1) continue;  // mid-write
       uint64_t buf[Slot::kWords];
       for (size_t w = 0; w < Slot::kWords; ++w) {
@@ -166,6 +177,7 @@ bool WriteChromeTraceFile(const TraceRing* ring, const std::string& path) {
     meta.emplace_back("sampleRate", StrCat(ring->sample_rate()));
     meta.emplace_back("spansRetained", StrCat(spans.size()));
     meta.emplace_back("spansTotal", StrCat(ring->total_pushed()));
+    meta.emplace_back("spansDropped", StrCat(ring->dropped()));
   }
   const std::string json = RenderChromeTrace(spans, meta);
   std::FILE* f = std::fopen(path.c_str(), "wb");

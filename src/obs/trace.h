@@ -18,10 +18,12 @@
 /// Memory is bounded by construction: sampled spans live *inside* the pooled
 /// QueryTask until completion (no allocation per span), and the ring holds a
 /// fixed number of completed spans — an overrun overwrites the oldest, it
-/// never grows. Slots are seqlock-versioned: a writer bumps the version to
-/// odd, copies the span, bumps to even; Drain() rereads until it observes a
-/// stable even version and discards slots caught mid-write, so a dump is
-/// race-free without ever blocking a worker.
+/// never grows. Slots are seqlock-versioned: a writer claims a slot by moving
+/// its version from even to odd (a span whose slot another writer still
+/// holds is dropped and counted), copies the span, then sets it even again;
+/// Drain() rereads until it observes a stable even version and discards
+/// slots caught mid-write, so a dump is race-free without ever blocking a
+/// worker.
 ///
 /// Dumps render as Chrome `trace_event` JSON (load via chrome://tracing or
 /// https://ui.perfetto.dev): one "X" (complete) event per stage, rows keyed
@@ -72,7 +74,9 @@ class TraceRing {
   void Push(const TaskSpan& span);
 
   /// Copies the retained spans, oldest first. Safe concurrent with Push;
-  /// spans mid-overwrite are skipped (see the file comment).
+  /// spans mid-overwrite, and slots whose first push is still in flight,
+  /// are skipped (see the file comment). A dropped span leaves its slot's
+  /// previous span in place.
   std::vector<TaskSpan> Drain() const;
 
   size_t capacity() const { return slots_.size(); }
@@ -81,17 +85,21 @@ class TraceRing {
   int64_t total_pushed() const {
     return static_cast<int64_t>(next_.load(std::memory_order_relaxed));
   }
+  /// Spans dropped because a lapping writer still held their slot.
+  int64_t dropped() const {
+    return static_cast<int64_t>(dropped_.load(std::memory_order_relaxed));
+  }
   double sample_rate() const { return rate_; }
 
  private:
   struct Slot {
     static constexpr size_t kWords = (sizeof(TaskSpan) + 7) / 8;
     std::atomic<uint64_t> version{0};
-    /// Span payload as relaxed-atomic words: a reader racing a writer (or
-    /// two writers lapping onto the same slot) then performs defined,
-    /// untorn word accesses — no C++ data race — while the seqlock version
-    /// validates whole-record consistency. The word copies stay plain
-    /// MOV instructions; only the version carries ordering.
+    /// Span payload as relaxed-atomic words: a reader racing a writer then
+    /// performs defined, untorn word accesses — no C++ data race — while
+    /// the seqlock version validates whole-record consistency. The word
+    /// copies stay plain MOV instructions; only the version carries
+    /// ordering.
     std::atomic<uint64_t> words[kWords] = {};
   };
 
@@ -99,6 +107,7 @@ class TraceRing {
   const uint32_t threshold_;  // sample iff rng32 < threshold_
   std::vector<Slot> slots_;
   std::atomic<uint64_t> next_{0};
+  std::atomic<uint64_t> dropped_{0};
 };
 
 /// Renders spans as a Chrome trace_event JSON document (object form with a

@@ -113,6 +113,19 @@ class GroupHashTable {
     return nullptr;
   }
 
+  /// The group's aggregate array, or nullptr if `key` has no slot.
+  AggState* Find(const uint8_t* key) {
+    const uint32_t h = Hash(key);
+    for (size_t probe = 0; probe < capacity_; ++probe) {
+      uint8_t* slot = SlotAt((h + probe) & mask_);
+      int32_t marker;
+      std::memcpy(&marker, slot, sizeof(marker));
+      if (marker == -1) return nullptr;
+      if (std::memcmp(slot + 16, key, key_size_) == 0) return SlotAggs(slot);
+    }
+    return nullptr;
+  }
+
   /// Thread-safe variant for simulated GPGPU work items (§5.4): claim the
   /// marker with compare-and-set, then update aggregates atomically. The
   /// caller uses AggAddAtomic on the returned state. Timestamp updates take
@@ -210,15 +223,21 @@ class GroupHashTable {
       std::memcpy(&ts, e, sizeof(ts));
       const uint8_t* key = e + 8;
       const auto* aggs = reinterpret_cast<const AggState*>(e + 8 + key_size_);
-      if (NeedsGrow()) Grow();
-      AggState* dst = Upsert(key, 0, ts);
-      if (dst == nullptr) {
-        Grow();
-        dst = Upsert(key, 0, ts);
-        SABER_CHECK(dst != nullptr);
-      }
+      AggState* dst = UpsertGrowing(key, ts);
       for (size_t a = 0; a < num_aggs_; ++a) AggMerge(&dst[a], aggs[a]);
     }
+  }
+
+  /// Upsert that grows the table instead of failing (single-threaded).
+  AggState* UpsertGrowing(const uint8_t* key, int64_t ts) {
+    if (NeedsGrow()) Grow();
+    AggState* dst = Upsert(key, 0, ts);
+    if (dst == nullptr) {
+      Grow();
+      dst = Upsert(key, 0, ts);
+      SABER_CHECK(dst != nullptr);
+    }
+    return dst;
   }
 
  private:

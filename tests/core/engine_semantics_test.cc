@@ -198,6 +198,46 @@ TEST(EngineSemantics, MixedInvertibleAndNotUsesTwoStacks) {
   EXPECT_TRUE(BuffersEqual(got, want, q.output_schema.tuple_size()));
 }
 
+TEST(EngineSemantics, GroupedRunningAssemblyOverDevicePartials) {
+  // Grouped sum/count and avg over sliding time and count windows, with
+  // every task forced onto the simulated GPGPU: device-produced pane
+  // partials feed the running group table, which must match the forced
+  // re-merge path and the reference byte for byte.
+  Schema s = syn::SyntheticSchema();
+  auto data = syn::Generate(40000);
+  EngineOptions o = FastOptions(2, true);
+  o.scheduler = SchedulerKind::kStatic;
+  o.static_assignment = {{0, Processor::kGpu}};
+  const auto run = [&](const QueryDef& def) {
+    Engine engine(o);
+    QueryHandle* q = engine.AddQuery(def);
+    ByteBuffer out;
+    q->SetSink([&](const uint8_t* d, size_t n) { out.Append(d, n); });
+    engine.Start();
+    q->Insert(data.data(), data.size());
+    engine.Drain();
+    EXPECT_GT(q->tasks_on(Processor::kGpu), 0);
+    EXPECT_EQ(q->tasks_on(Processor::kCpu), 0);
+    return out;
+  };
+  QueryDef avg = QueryBuilder("grp_avg", s)
+                     .Window(WindowDefinition::Time(40, 3))
+                     .GroupBy({Mod(Col(s, "a4"), Lit(16))}, {"grp"})
+                     .Aggregate(AggregateFunction::kAvg, Col(s, "a1"), "av")
+                     .Build();
+  for (const QueryDef& def :
+       {syn::MakeGroupBy(8, WindowDefinition::Count(1024, 64)), avg}) {
+    QueryDef remerge = def;
+    remerge.assembly_mode = AssemblyMode::kRemergeOnly;
+    ByteBuffer want = ReferenceEvaluate(def, data);
+    ASSERT_GT(want.size(), 0u);
+    const size_t tsz = def.output_schema.tuple_size();
+    EXPECT_TRUE(BuffersEqual(run(def), want, tsz)) << def.name << " running";
+    EXPECT_TRUE(BuffersEqual(run(remerge), want, tsz))
+        << def.name << " re-merge";
+  }
+}
+
 TEST(EngineSemantics, SinkReceivesMonotoneTimestampsForAggregation) {
   // RStream output of an aggregation is in window order, so output
   // timestamps (max tuple ts per window) are non-decreasing.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "cpu/cpu_operators.h"
 #include "reference/reference.h"
 #include "test_util.h"
@@ -173,13 +175,16 @@ TEST_F(GpuOperatorTest, JoinIdenticalToCpuJoin) {
 }
 
 // Property sweep mirroring the CPU one: the GPGPU back end must agree with
-// the reference under every window/batch combination.
+// the reference under every window/batch combination. The flags are full
+// width so the struct has no padding: gtest names each case by its raw
+// bytes, and padding bytes would make the names change from run to run.
 struct GpuAggCase {
-  bool time_based;
+  int64_t time_based;
   int64_t size, slide;
   size_t batch;
-  bool grouped;
+  int64_t grouped;
 };
+static_assert(std::has_unique_object_representations_v<GpuAggCase>);
 
 class GpuAggregationPropertyTest : public ::testing::TestWithParam<GpuAggCase> {
  protected:

@@ -86,7 +86,9 @@ class MetricsEndpointTest : public ::testing::Test {
 TEST_F(MetricsEndpointTest, ScrapeMatchesEngineAfterFaultedNetworkRun) {
   // Reject every 5th GPGPU submission: the failover path retries those
   // tasks on the CPU and the recovery counters must be visible — with the
-  // same values — through both the engine accessors and the scrape.
+  // same values — through both the engine accessors and the scrape. The
+  // query is statically assigned to the GPGPU so every task is submitted
+  // to the device (HLS alone may send it fewer than 5).
   fault::FaultSpec reject;
   reject.every_n = 5;
   fault::FaultRegistry::Global().Arm("gpu.submit_reject", reject);
@@ -95,6 +97,8 @@ TEST_F(MetricsEndpointTest, ScrapeMatchesEngineAfterFaultedNetworkRun) {
   eo.num_cpu_workers = 2;
   eo.use_gpu = true;
   eo.task_size = 16 << 10;
+  eo.scheduler = SchedulerKind::kStatic;
+  eo.static_assignment = {{0, Processor::kGpu}};
   Engine engine(eo);
   engine.Start();
 
@@ -133,6 +137,11 @@ TEST_F(MetricsEndpointTest, ScrapeMatchesEngineAfterFaultedNetworkRun) {
   }
   for (auto& t : producers) t.join();
   ASSERT_TRUE(control.value().Drain(id).ok());
+  // The control-plane Drain returns once every staged tuple is merged into
+  // the engine, not once the engine has executed it: tasks can still be in
+  // flight (and reach the device's submit fault point) after it returns.
+  // Drain the engine too, so the counters compared below are final.
+  engine.Drain();
 
   auto resp = Get(metrics.port(), "/metrics");
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();

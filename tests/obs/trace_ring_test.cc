@@ -52,6 +52,15 @@ TEST(TraceRing, OverrunKeepsTheNewestCapacitySpans) {
       << "total_pushed surfaces the overwrite so dumps read as partial";
 }
 
+TEST(TraceRing, SequentialOverrunDropsNothing) {
+  // A span is dropped only when another writer still holds its slot; one
+  // writer lapping the ring overwrites, it never drops.
+  TraceRing ring(1.0, 3);
+  for (int64_t i = 0; i < 100; ++i) ring.Push(MakeSpan(i));
+  EXPECT_EQ(ring.dropped(), 0);
+  EXPECT_EQ(ring.Drain().size(), 3u);
+}
+
 TEST(TraceRing, SampleRateZeroNeverSamplesAndOneAlwaysDoes) {
   TraceRing off(0.0, 4);
   TraceRing always(1.0, 4);
